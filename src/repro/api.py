@@ -63,11 +63,7 @@ from repro.core.scheduling import (
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.querylog import QueryLog, QueryLogConfig
 from repro.corpus.vocabulary import VocabularyConfig
-from repro.engine.execution import (
-    EXECUTION_BACKENDS,
-    ExecutionConfig,
-    resolve_execution,
-)
+from repro.engine.execution import EXECUTION_BACKENDS, ExecutionConfig
 from repro.engine.hedging import (
     DISABLED_POLICY,
     HedgingPolicy,
@@ -262,9 +258,7 @@ class EngineConfig:
     knobs, but all keyword-only so adding fields never breaks callers.
 
     ``execution`` selects the fan-out backend
-    (:class:`ExecutionConfig`); the old ``num_threads`` spelling still
-    works but warns and maps onto
-    ``ExecutionConfig(backend="threads", workers=num_threads)``.
+    (:class:`ExecutionConfig`).
     """
 
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
@@ -273,7 +267,6 @@ class EngineConfig:
     partition_strategy: PartitionStrategy = PartitionStrategy.ROUND_ROBIN
     algorithm: "str | TraversalStrategy" = "daat"
     use_global_stats: bool = True
-    num_threads: Optional[int] = None
     execution: Optional[ExecutionConfig] = None
     hedging: Optional[HedgingPolicy] = None
     overload: Optional[OverloadPolicy] = None
@@ -281,15 +274,6 @@ class EngineConfig:
     faults: Optional[FaultPlan] = None
     tiered: Optional[TieredStorageConfig] = None
     scheduler: Optional[DeadlineScheduler] = None
-
-    def __post_init__(self) -> None:
-        # Warn at construction time (not first use) and fold the
-        # deprecated spelling away so inner layers never re-warn.
-        resolved = resolve_execution(
-            self.execution, self.num_threads, "EngineConfig"
-        )
-        object.__setattr__(self, "execution", resolved)
-        object.__setattr__(self, "num_threads", None)
 
     def to_service_config(self) -> SearchServiceConfig:
         """The internal config this maps onto."""

@@ -24,7 +24,6 @@ from repro.cluster.replication import (
     HedgeConfig,
     ReplicaSelection,
     ReplicatedClusterConfig,
-    ReplicatedResult,
     run_replicated_open_loop,
 )
 from repro.cluster.results import QueryRecord, SimulationResult
@@ -50,7 +49,6 @@ __all__ = [
     "HedgeConfig",
     "ReplicaSelection",
     "ReplicatedClusterConfig",
-    "ReplicatedResult",
     "run_replicated_open_loop",
     "HeterogeneousConfig",
     "HeterogeneousResult",

@@ -8,22 +8,25 @@ completes when the *slowest* ISN responds plus broker merge — the
 "tail at scale" structure where the cluster's latency is an order
 statistic of per-node latencies.
 
-With a :class:`~repro.engine.hedging.HedgingPolicy` (plus optionally
-replicas, hiccups, or scripted outages as straggler sources) the broker
-becomes *tail-tolerant*: shard requests carry deadlines, stragglers are
-hedged to a different replica, and a deadline miss degrades the merge
-to the shards that answered (``coverage`` < 1).  The same policy object
-drives the native :class:`~repro.engine.isn.IndexServingNode`, keeping
-the simulator calibrated against the engine's mitigation behaviour.
-Without any tail feature configured, the simulation takes the original
-analytic path and is bit-identical to the seed.
+One event-driven broker simulates every shape of this tier, from a
+plain N-server fan-out to ``N`` shards × ``R`` replicas with hedging,
+deadlines, admission control, circuit breakers and injected faults.
+Its parts are pluggable: a :class:`ReplicaSelection` policy orders each
+shard's candidate replicas (the first the breaker approves wins), and a
+:class:`~repro.engine.hedging.HedgingPolicy` adds deadlines, hedged
+backups to a *different* replica, and bounded retries.  A deadline miss
+degrades the merge to the shards that answered (``coverage`` < 1).  The
+same policy object drives the native
+:class:`~repro.engine.isn.IndexServingNode`, keeping the simulator
+calibrated against the engine's mitigation behaviour.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from enum import Enum
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,6 +52,14 @@ from repro.workload.scenario import WorkloadScenario
 
 #: Bucket edges for the broker's admission-queue-depth histogram.
 QUEUE_DEPTH_BUCKETS = tuple(float(i) for i in range(0, 65, 4))
+
+
+class ReplicaSelection(Enum):
+    """Broker policy for ordering a shard's candidate replicas."""
+
+    RANDOM = "random"
+    ROUND_ROBIN = "round_robin"
+    LEAST_OUTSTANDING = "least_outstanding"
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,14 @@ class FanoutConfig:
         Identical replicas per shard group.  Hedged backups go to a
         *different* replica than the primary (a whole-server pause
         freezes all its cores, so re-asking the same server cannot
-        win); primaries pick the least-loaded replica.
+        win).
+    selection:
+        How the broker orders a shard's candidate replicas for a
+        primary or backup request; the first one the breaker approves
+        wins.  ``LEAST_OUTSTANDING`` sorts by in-flight requests, ties
+        to the lower index; ``ROUND_ROBIN`` keeps one cursor per shard;
+        ``RANDOM`` draws from the ``"selection"`` stream (drawn only
+        under this policy).
     hiccups:
         Optional stop-the-world pause process applied independently to
         every replica — the stochastic straggler source.
@@ -115,6 +133,7 @@ class FanoutConfig:
     server_imbalance_concentration: float = 60.0
     hedging: Optional[HedgingPolicy] = None
     replicas_per_shard: int = 1
+    selection: ReplicaSelection = ReplicaSelection.LEAST_OUTSTANDING
     hiccups: Optional[HiccupConfig] = None
     outages: Tuple[OutageSpec, ...] = ()
     overload: Optional[OverloadPolicy] = None
@@ -131,6 +150,8 @@ class FanoutConfig:
         if self.replicas_per_shard <= 0:
             raise ValueError("replicas_per_shard must be positive")
         for outage in self.outages:
+            if not isinstance(outage, OutageSpec):
+                raise TypeError("outages must be OutageSpec instances")
             if outage.shard >= self.num_servers:
                 raise ValueError(
                     f"outage names shard {outage.shard}; "
@@ -162,33 +183,13 @@ class FanoutConfig:
                         f"cluster has {self.replicas_per_shard} per shard"
                     )
 
-    @property
-    def resilient(self) -> bool:
-        """True when any overload/breaker/chaos feature is configured."""
-        return (
-            (self.overload is not None and self.overload.enabled)
-            or self.breakers is not None
-            or (self.faults is not None and self.faults.enabled)
-        )
-
-    @property
-    def tail_tolerant(self) -> bool:
-        """True when any tail feature moves us off the seed fast path."""
-        return (
-            (self.hedging is not None and self.hedging.enabled)
-            or self.replicas_per_shard > 1
-            or self.hiccups is not None
-            or bool(self.outages)
-            or self.resilient
-        )
-
 
 @dataclass
 class FanoutQueryRecord:
     """Timeline of one query through the fan-out cluster.
 
-    ``coverage`` and the hedge counters stay at their defaults on the
-    plain path; the tail-tolerant broker fills them in.
+    ``coverage`` and the hedge, miss and failure counters keep their
+    defaults unless a tail or resilience feature acts on the query.
     """
 
     query_id: int
@@ -241,7 +242,7 @@ class FanoutResult:
 
     ``shard_failures`` counts failed shard requests per shard index
     (injected errors, crash rejections, and deadline misses) across the
-    whole run — all zeros on the plain path and on healthy clusters.
+    whole run — all zeros on healthy clusters.
     """
 
     records: List[FanoutQueryRecord]
@@ -329,6 +330,15 @@ class FanoutResult:
         return sum(r.hedges_issued for r in self.records)
 
     @property
+    def hedge_fraction(self) -> float:
+        """Backup requests per request of the baseline fan-out (one per
+        shard of every served query)."""
+        baseline = self.num_servers * len(self.served_records())
+        if baseline == 0:
+            return 0.0
+        return self.hedges_issued / baseline
+
+    @property
     def hedges_won(self) -> int:
         """Shard answers won by a backup request."""
         return sum(r.hedges_won for r in self.records)
@@ -347,105 +357,6 @@ class FanoutResult:
     def failures(self) -> int:
         """Failed shard attempts (injected errors, crash rejections)."""
         return sum(r.failures for r in self.records)
-
-
-def run_fanout_open_loop(
-    config: FanoutConfig,
-    scenario: WorkloadScenario,
-    seed: int = 0,
-    metrics: Optional[MetricsRegistry] = None,
-) -> FanoutResult:
-    """Simulate the cluster under an open-loop arrival process.
-
-    ``scenario`` demands are *whole-query* demands; each ISN executes
-    ``demand / num_servers`` (its index slice) through its own
-    fork-join partition model.
-
-    With any tail feature configured (hedging policy, replicas,
-    hiccups, outages) the simulation runs the event-driven
-    tail-tolerant broker; otherwise it takes the seed's analytic path,
-    which is bit-identical to pre-tail-tolerance builds.
-    """
-    if config.tail_tolerant:
-        return _run_fanout_tail_tolerant(config, scenario, seed, metrics)
-    streams = RandomStreams(seed)
-    arrival_times, demands = scenario.realize(
-        streams.stream("arrivals"), streams.stream("demands")
-    )
-    network_rng = streams.stream("network")
-
-    sim = Simulator()
-    records: List[FanoutQueryRecord] = []
-    pending: dict = {}
-
-    def make_isn_completion(record: FanoutQueryRecord) -> Callable:
-        def on_complete(server_record: QueryRecord) -> None:
-            arrival = server_record.merge_end + config.network.delay(
-                network_rng
-            )
-            record.isn_completions.append(arrival)
-            pending[record.query_id] -= 1
-            if pending[record.query_id] == 0:
-                merge_done = (
-                    max(record.isn_completions)
-                    + config.broker_merge_per_server * config.num_servers
-                )
-                record.client_receive = merge_done + config.network.delay(
-                    network_rng
-                )
-                records.append(record)
-
-        return on_complete
-
-    servers = []
-    completion_handlers = {}
-    for server_index in range(config.num_servers):
-        servers.append(
-            SimulatedServer(
-                sim,
-                config.spec,
-                config.partitioning,
-                imbalance_rng=streams.stream(f"imbalance-{server_index}"),
-                on_complete=lambda rec: completion_handlers[id(rec)](rec),
-                metrics=metrics,
-            )
-        )
-
-    shard_rng = streams.stream("server-imbalance")
-    for query_id, (send_time, demand) in enumerate(zip(arrival_times, demands)):
-        record = FanoutQueryRecord(
-            query_id=query_id,
-            client_send=float(send_time),
-            total_demand=float(demand),
-        )
-        pending[query_id] = config.num_servers
-        handler = make_isn_completion(record)
-        if config.num_servers == 1:
-            shares = np.ones(1)
-        else:
-            shares = shard_rng.dirichlet(
-                np.full(
-                    config.num_servers, config.server_imbalance_concentration
-                )
-            )
-        for server, share in zip(servers, shares):
-            server_record = QueryRecord(
-                query_id=query_id,
-                client_send=float(send_time),
-                demand=float(demand) * float(share),
-            )
-            completion_handlers[id(server_record)] = handler
-            arrival = float(send_time) + config.network.delay(network_rng)
-            sim.schedule(arrival, server.handle_arrival, server_record)
-
-    sim.run()
-    incomplete = [r for r in pending.values() if r != 0]
-    if incomplete:
-        raise RuntimeError(f"{len(incomplete)} queries never completed")
-    records.sort(key=lambda record: record.client_send)
-    return FanoutResult(
-        records=records, horizon=sim.now, num_servers=config.num_servers
-    )
 
 
 class _ShardState:
@@ -532,22 +443,27 @@ def _replica_stalls(
     return None
 
 
-def _run_fanout_tail_tolerant(
+def run_fanout_open_loop(
     config: FanoutConfig,
     scenario: WorkloadScenario,
-    seed: int,
+    seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> FanoutResult:
-    """Event-driven fan-out with deadlines, hedging, and replicas.
+    """Simulate the cluster under an open-loop arrival process.
 
-    The broker dispatches each shard request to the least-loaded
-    replica, schedules cancellable hedge/deadline events against the
-    simulator clock, re-issues stragglers to a *different* replica, and
-    finishes a query when every shard is decided — answered,
-    deadline-missed, failed beyond the retry budget, or fenced off by
-    an open circuit breaker.  Late and loser answers are ignored (the
-    DES cannot retract work already committed to a replica's cores,
-    which mirrors a backend without mid-request cancellation).
+    ``scenario`` demands are *whole-query* demands; each shard executes
+    its Dirichlet share of the demand (its index slice) through its own
+    fork-join partition model.
+
+    The broker sends each shard request to the first replica in the
+    :class:`ReplicaSelection` order that the breaker approves,
+    schedules cancellable hedge/deadline events against the simulator
+    clock, re-issues stragglers to a *different* replica, and finishes
+    a query when every shard is decided — answered, deadline-missed,
+    failed beyond the retry budget, or fenced off by an open circuit
+    breaker.  Late and loser answers are ignored (the DES cannot
+    retract work already committed to a replica's cores, which mirrors
+    a backend without mid-request cancellation).
 
     With an overload policy, arrivals pass the broker's admission
     controller first: beyond the concurrency limit they wait in a
@@ -569,7 +485,9 @@ def _run_fanout_tail_tolerant(
     sim = Simulator()
     tracker = ShardLatencyTracker()
     records: List[FanoutQueryRecord] = []
-    completion_handlers: Dict[int, Callable[[QueryRecord], None]] = {}
+    #: server-record id -> (query, shard, replica, attempt kind), consumed
+    #: when that replica finishes the request.
+    attempts: Dict[int, Tuple[_QueryState, int, int, str]] = {}
 
     faults = (
         config.faults
@@ -588,11 +506,24 @@ def _run_fanout_tail_tolerant(
     admission_queue: Deque[Tuple[_QueryState, float]] = deque()
     shard_failures = [0] * config.num_servers
     probes = [0]  # half-open probe requests (mutable for closures)
+    num_replicas = config.replicas_per_shard
+    selection = config.selection
+    selection_rng = (
+        streams.stream("selection")
+        if selection is ReplicaSelection.RANDOM
+        else None
+    )
+    cursors = [0] * config.num_servers  # ROUND_ROBIN: next replica per shard
+
+    def on_server_done(rec: QueryRecord) -> None:
+        state, shard, replica, kind = attempts.pop(id(rec))
+        arrival = rec.merge_end + config.network.delay(network_rng)
+        sim.schedule(arrival, on_answer, state, shard, replica, kind)
 
     servers: List[List[SimulatedServer]] = []
     for shard in range(config.num_servers):
         group = []
-        for replica in range(config.replicas_per_shard):
+        for replica in range(num_replicas):
             stream_name = (
                 f"imbalance-{shard}"
                 if replica == 0
@@ -604,9 +535,7 @@ def _run_fanout_tail_tolerant(
                     config.spec,
                     config.partitioning,
                     imbalance_rng=streams.stream(stream_name),
-                    on_complete=lambda rec: completion_handlers.pop(id(rec))(
-                        rec
-                    ),
+                    on_complete=on_server_done,
                     hiccups=_replica_stalls(config, streams, shard, replica),
                     metrics=metrics,
                 )
@@ -614,6 +543,19 @@ def _run_fanout_tail_tolerant(
         servers.append(group)
 
     shard_rng = streams.stream("server-imbalance")
+
+    def order_replicas(shard: int, candidates: List[int]) -> List[int]:
+        """``candidates`` in the order the selection policy prefers."""
+        if selection is ReplicaSelection.RANDOM:
+            first = int(selection_rng.integers(len(candidates)))
+            return candidates[first:] + candidates[:first]
+        if len(candidates) == 1:
+            return candidates
+        if selection is ReplicaSelection.ROUND_ROBIN:
+            cursor = cursors[shard]
+            return sorted(candidates, key=lambda r: (r - cursor) % num_replicas)
+        group = servers[shard]
+        return sorted(candidates, key=lambda r: (group[r].outstanding, r))
 
     def breaker_allow(shard: int, replica: int) -> bool:
         """Consult the replica's breaker (counting half-open probes)."""
@@ -647,7 +589,7 @@ def _run_fanout_tail_tolerant(
         shard_state = state.shards[shard]
         candidates = [
             replica
-            for replica in range(config.replicas_per_shard)
+            for replica in range(num_replicas)
             if replica not in shard_state.tried
         ]
         if not candidates:
@@ -656,18 +598,14 @@ def _run_fanout_tail_tolerant(
             # A retry may re-ask a previously tried replica (the native
             # path re-asks the same shard); hedges never do — a backup
             # against the same straggler cannot win.
-            candidates = list(range(config.replicas_per_shard))
-        candidates.sort(
-            key=lambda r: (servers[shard][r].outstanding, r)
-        )
-        replica = None
-        for candidate in candidates:
-            if breaker_allow(shard, candidate):
-                replica = candidate
+            candidates = list(range(num_replicas))
+        for replica in order_replicas(shard, candidates):
+            if breaker_allow(shard, replica):
                 break
-        if replica is None:
+        else:
             return "blocked"
         shard_state.tried.add(replica)
+        cursors[shard] = (replica + 1) % num_replicas
 
         if faults is not None:
             if faults.crashed(shard, replica, sim.now):
@@ -700,18 +638,7 @@ def _run_fanout_tail_tolerant(
             client_send=state.record.client_send,
             demand=demand,
         )
-
-        def on_server_done(
-            rec: QueryRecord,
-            state=state,
-            shard=shard,
-            replica=replica,
-            kind=kind,
-        ) -> None:
-            arrival = rec.merge_end + config.network.delay(network_rng)
-            sim.schedule(arrival, on_answer, state, shard, replica, kind)
-
-        completion_handlers[id(server_record)] = on_server_done
+        attempts[id(server_record)] = (state, shard, replica, kind)
         arrival = sim.now + config.network.delay(network_rng)
         sim.schedule(
             arrival, servers[shard][replica].handle_arrival, server_record
@@ -731,7 +658,8 @@ def _run_fanout_tail_tolerant(
         shard_state.answered = True
         if kind == "hedge":
             state.record.hedges_won += 1
-        tracker.observe(sim.now - state.dispatch_time)
+        if policy.hedge_quantile is not None:
+            tracker.observe(sim.now - state.dispatch_time)
         if shard_state.hedge_handle is not None:
             shard_state.hedge_handle.cancel()
         if shard_state.deadline_handle is not None:

@@ -202,7 +202,7 @@ class SimulatedServer:
         self._on_complete = on_complete
         self._metrics = metrics
         #: Queries accepted but not yet completed — the load signal a
-        #: tail-tolerant broker uses to pick the least-loaded replica.
+        #: fan-out broker uses to pick the least-loaded replica.
         self.outstanding = 0
 
     def handle_arrival(self, record: QueryRecord) -> None:

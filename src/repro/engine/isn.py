@@ -33,7 +33,7 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.engine.execution import ExecutionConfig, resolve_execution
+from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import DISABLED_POLICY, HedgingPolicy, ShardLatencyTracker
 from repro.engine.instrumentation import ComponentTimings
 from repro.index.partitioner import PartitionedIndex
@@ -141,10 +141,6 @@ class IndexServingNode:
     ----------
     partitioned:
         The server's index shards.
-    num_threads:
-        Deprecated spelling of
-        ``execution=ExecutionConfig(backend="threads", workers=...)``;
-        emits a :class:`DeprecationWarning`.
     execution:
         The :class:`~repro.engine.execution.ExecutionConfig` selecting
         the fan-out backend.  ``"threads"`` (default) fans out on a
@@ -214,7 +210,6 @@ class IndexServingNode:
     def __init__(
         self,
         partitioned: PartitionedIndex,
-        num_threads: Optional[int] = None,
         algorithm: "str | TraversalStrategy" = "daat",
         use_global_stats: bool = True,
         cache: Optional["QueryResultCache"] = None,
@@ -229,9 +224,6 @@ class IndexServingNode:
         tiered: Optional["TieredStorageConfig"] = None,
         scheduler: Optional["DeadlineScheduler"] = None,
     ):
-        execution = resolve_execution(
-            execution, num_threads, "IndexServingNode"
-        )
         self._execution = (
             execution if execution is not None else ExecutionConfig()
         )

@@ -16,7 +16,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import ClusterModel
 from repro.cluster.fanout import FanoutConfig, run_fanout_open_loop
+from repro.cluster.replication import ReplicatedClusterConfig
 from repro.cluster.server import PartitionModelConfig
 from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import HedgingPolicy
@@ -56,7 +58,6 @@ class TestTailTolerantBroker:
         config = FanoutConfig(
             num_servers=1, spec=BIG_SERVER, outages=(_outage(0, 1.0),)
         )
-        assert config.tail_tolerant
         result = run_fanout_open_loop(config, _scenario(1))
         # Without a second replica the query waits out the stall.
         assert result.records[0].latency >= 0.25
@@ -150,6 +151,13 @@ class TestTailTolerantBroker:
                     OutageSpec(shard=0, replica=1, start=0.5, duration=0.1),
                 ),
             )
+        # A non-OutageSpec entry is a TypeError through every front end.
+        with pytest.raises(TypeError, match="OutageSpec"):
+            ClusterModel(num_servers=2, replicas_per_shard=2, outages=("x",))
+        with pytest.raises(TypeError, match="OutageSpec"):
+            ReplicatedClusterConfig(
+                num_shards=2, replicas=2, spec=BIG_SERVER, outages=("x",)
+            )
 
     def test_inert_policy_is_bit_identical_to_seed_path(self):
         scenario = WorkloadScenario(
@@ -161,7 +169,6 @@ class TestTailTolerantBroker:
         inert = FanoutConfig(
             num_servers=2, spec=BIG_SERVER, hedging=HedgingPolicy()
         )
-        assert not inert.tail_tolerant
         base = run_fanout_open_loop(plain, scenario, seed=3)
         shim = run_fanout_open_loop(inert, scenario, seed=3)
         assert np.array_equal(base.latencies(), shim.latencies())
